@@ -14,6 +14,15 @@
 //! batch, which is where the binary protocol's throughput headroom
 //! comes from.
 //!
+//! Internally every request is split into a **send half** (encode into
+//! the connection's write scratch, flush) and a **receive half** (decode
+//! one reply); each blocking method is just the two in sequence. The
+//! halves are what let a caller keep requests in flight on several
+//! connections at once — the [cluster router](crate::cluster) writes
+//! every node's frame before it reads any ack — and what lets a
+//! multi-frame [`ingest`](ServiceClient::ingest) write all its frames
+//! before reading their acks.
+//!
 //! Besides the plain request methods, the client implements the core
 //! engine and attack traits —
 //! [`StreamSummary`] (ingest = `INGEST` frames),
@@ -52,6 +61,10 @@ enum Wire {
     Binary,
 }
 
+/// A binary frame decoder: `Ok(None)` until the buffer holds a whole
+/// frame, then the value and the bytes it consumed.
+type Decoder<T> = fn(&[u8]) -> Result<Option<(T, usize)>, frame::FrameError>;
+
 struct Conn {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
@@ -64,55 +77,20 @@ struct Conn {
 }
 
 impl Conn {
-    fn send(&mut self, req: &Request) -> std::io::Result<()> {
+    /// Encode one request into the write scratch (`encode` picks the
+    /// format from the connection's wire) and buffer it — no flush, so
+    /// a pipeline can batch any number of writes behind one.
+    fn write_with(&mut self, encode: impl FnOnce(Wire, &mut Vec<u8>)) -> std::io::Result<()> {
         self.wbuf.clear();
-        match self.wire {
-            Wire::Text => {
-                req.write_line(&mut self.wbuf);
-                self.wbuf.push(b'\n');
-            }
-            Wire::Binary => frame::encode_request(req, &mut self.wbuf),
-        }
+        encode(self.wire, &mut self.wbuf);
         self.writer.write_all(&self.wbuf)
     }
 
-    /// Encode an `INGEST` frame straight from the value slice — no owned
-    /// `Request::Ingest(Vec<u64>)` is ever built on the ingest path.
-    fn send_ingest(&mut self, chunk: &[u64]) -> std::io::Result<()> {
-        self.wbuf.clear();
-        match self.wire {
-            Wire::Text => {
-                write_ingest_line(chunk, &mut self.wbuf);
-                self.wbuf.push(b'\n');
-            }
-            Wire::Binary => frame::encode_ingest_slice(chunk, &mut self.wbuf),
-        }
-        self.writer.write_all(&self.wbuf)
-    }
-
-    /// The tenant analogue of [`send_ingest`](Self::send_ingest): a
-    /// `TINGEST` frame encoded straight from the value slice.
-    fn send_tenant_ingest(&mut self, tenant: u64, chunk: &[u64]) -> std::io::Result<()> {
-        self.wbuf.clear();
-        match self.wire {
-            Wire::Text => {
-                write_tenant_ingest_line(tenant, chunk, &mut self.wbuf);
-                self.wbuf.push(b'\n');
-            }
-            Wire::Binary => frame::encode_tenant_ingest_slice(tenant, chunk, &mut self.wbuf),
-        }
-        self.writer.write_all(&self.wbuf)
-    }
-
-    fn send_admin(&mut self, req: &AdminRequest) -> std::io::Result<()> {
-        self.wbuf.clear();
-        frame::encode_admin_request(req, &mut self.wbuf);
-        self.writer.write_all(&self.wbuf)
-    }
-
-    fn receive_admin(&mut self) -> std::io::Result<AdminResponse> {
+    /// Decode one binary frame from the read buffer, refilling it from
+    /// the socket until a whole frame is there.
+    fn read_frame<T>(&mut self, decode: Decoder<T>) -> std::io::Result<T> {
         loop {
-            match frame::decode_admin_response(&self.rbuf) {
+            match decode(&self.rbuf) {
                 Ok(Some((resp, consumed))) => {
                     self.rbuf.drain(..consumed);
                     return Ok(resp);
@@ -141,27 +119,19 @@ impl Conn {
                 Response::parse(line.trim_end_matches(['\r', '\n']))
                     .map_err(|msg| std::io::Error::other(format!("protocol error: {msg}")))
             }
-            Wire::Binary => loop {
-                match frame::decode_response(&self.rbuf) {
-                    Ok(Some((resp, consumed))) => {
-                        self.rbuf.drain(..consumed);
-                        return Ok(resp);
-                    }
-                    Ok(None) => {
-                        let chunk = self.reader.fill_buf()?;
-                        if chunk.is_empty() {
-                            return Err(closed());
-                        }
-                        let n = chunk.len();
-                        self.rbuf.extend_from_slice(chunk);
-                        self.reader.consume(n);
-                    }
-                    Err(e) => {
-                        return Err(std::io::Error::other(format!("frame error: {e}")));
-                    }
-                }
-            },
+            Wire::Binary => self.read_frame(frame::decode_response),
         }
+    }
+}
+
+/// Encode `req` in `wire`'s format.
+fn encode_request(wire: Wire, req: &Request, buf: &mut Vec<u8>) {
+    match wire {
+        Wire::Text => {
+            req.write_line(buf);
+            buf.push(b'\n');
+        }
+        Wire::Binary => frame::encode_request(req, buf),
     }
 }
 
@@ -170,6 +140,10 @@ fn closed() -> std::io::Error {
         std::io::ErrorKind::UnexpectedEof,
         "service closed the connection",
     )
+}
+
+fn service_error(msg: String) -> std::io::Error {
+    std::io::Error::other(format!("service error: {msg}"))
 }
 
 /// A blocking client over one TCP connection, speaking either the text
@@ -220,13 +194,28 @@ impl ServiceClient {
         })
     }
 
+    /// Send half of every request: encode it and flush it to the socket.
+    /// Nothing is read — the matching receive half decodes the reply
+    /// later, so a caller can have requests in flight on several
+    /// connections at once (the [cluster router's](crate::cluster)
+    /// scatter-gather fan-out).
+    fn send_with(&self, encode: impl FnOnce(Wire, &mut Vec<u8>)) -> std::io::Result<()> {
+        let mut conn = self.conn.borrow_mut();
+        conn.write_with(encode)?;
+        conn.writer.flush()
+    }
+
+    /// Receive half of every request: decode the next reply in arrival
+    /// order.
+    fn recv(&self) -> std::io::Result<Response> {
+        self.conn.borrow_mut().receive()
+    }
+
     /// One request/response round trip.
     fn round_trip(&self, req: &Request) -> std::io::Result<Response> {
-        let mut conn = self.conn.borrow_mut();
-        conn.send(req)?;
-        conn.writer.flush()?;
-        match conn.receive()? {
-            Response::Err(msg) => Err(std::io::Error::other(format!("service error: {msg}"))),
+        self.send_with(|wire, buf| encode_request(wire, req, buf))?;
+        match self.recv()? {
+            Response::Err(msg) => Err(service_error(msg)),
             resp => Ok(resp),
         }
     }
@@ -240,7 +229,7 @@ impl ServiceClient {
     pub fn pipeline(&self, reqs: &[Request]) -> std::io::Result<Vec<Response>> {
         let mut conn = self.conn.borrow_mut();
         for req in reqs {
-            conn.send(req)?;
+            conn.write_with(|wire, buf| encode_request(wire, req, buf))?;
         }
         conn.writer.flush()?;
         let mut out = Vec::with_capacity(reqs.len());
@@ -263,56 +252,84 @@ impl ServiceClient {
         )))
     }
 
-    /// `INGEST` a frame (chunked under the protocol's frame cap);
-    /// returns the service's total item count afterwards. The frames are
-    /// encoded straight from `xs` into the connection's reusable write
-    /// scratch — the ingest path builds no owned request.
-    pub fn ingest(&self, xs: &[u64]) -> std::io::Result<usize> {
-        let mut total = self.last_items.get();
-        for chunk in xs.chunks(MAX_INGEST_FRAME) {
-            if chunk.is_empty() {
-                continue;
+    /// Send half of `INGEST`: encode one frame straight from `chunk`
+    /// (at most [`MAX_INGEST_FRAME`] values) into the connection's
+    /// reusable write scratch and flush it — the ingest path builds no
+    /// owned request.
+    pub(crate) fn send_ingest(&self, chunk: &[u64]) -> std::io::Result<()> {
+        debug_assert!(chunk.len() <= MAX_INGEST_FRAME, "one INGEST frame");
+        self.send_with(|wire, buf| match wire {
+            Wire::Text => {
+                write_ingest_line(chunk, buf);
+                buf.push(b'\n');
             }
-            let mut conn = self.conn.borrow_mut();
-            conn.send_ingest(chunk)?;
-            conn.writer.flush()?;
-            let resp = conn.receive()?;
-            drop(conn);
-            match resp {
-                Response::Ingested(n) => total = n,
-                Response::Err(msg) => {
-                    return Err(std::io::Error::other(format!("service error: {msg}")))
-                }
-                other => return self.unexpected("INGESTED", other),
-            }
-        }
-        self.last_items.set(total);
-        Ok(total)
+            Wire::Binary => frame::encode_ingest_slice(chunk, buf),
+        })
     }
 
-    /// `TINGEST tenant …`: ingest a frame into one tenant's summary
-    /// (chunked under the protocol's frame cap); returns that tenant's
-    /// total item count afterwards.
-    pub fn tenant_ingest(&self, tenant: u64, xs: &[u64]) -> std::io::Result<usize> {
-        let mut total = 0;
+    /// Receive half of `INGEST` (and `TINGEST`): decode one `INGESTED`
+    /// reply and return the total it reports.
+    pub(crate) fn recv_ingested(&self) -> std::io::Result<usize> {
+        match self.recv()? {
+            Response::Ingested(n) => Ok(n),
+            Response::Err(msg) => Err(service_error(msg)),
+            other => self.unexpected("INGESTED", other),
+        }
+    }
+
+    /// Send every `MAX_INGEST_FRAME` chunk of `xs` with `send`, then
+    /// read one ack per frame sent: a multi-frame slice costs one round
+    /// trip, not one per frame. Every sent ack is drained even after an
+    /// error (a service `ERR` reply or a failed send), so the connection
+    /// never holds a stale reply; the first error is returned. `Ok`
+    /// carries the last ack's total (`None` for an empty slice).
+    fn ingest_chunks(
+        &self,
+        xs: &[u64],
+        send: impl Fn(&[u64]) -> std::io::Result<()>,
+    ) -> std::io::Result<Option<usize>> {
+        let mut result = Ok(None);
+        let mut sent = 0;
         for chunk in xs.chunks(MAX_INGEST_FRAME) {
-            if chunk.is_empty() {
-                continue;
+            if let Err(e) = send(chunk) {
+                result = Err(e);
+                break;
             }
-            let mut conn = self.conn.borrow_mut();
-            conn.send_tenant_ingest(tenant, chunk)?;
-            conn.writer.flush()?;
-            let resp = conn.receive()?;
-            drop(conn);
-            match resp {
-                Response::Ingested(n) => total = n,
-                Response::Err(msg) => {
-                    return Err(std::io::Error::other(format!("service error: {msg}")))
-                }
-                other => return self.unexpected("INGESTED", other),
+            sent += 1;
+        }
+        for _ in 0..sent {
+            match (self.recv_ingested(), &mut result) {
+                (Ok(n), Ok(total)) => *total = Some(n),
+                (Err(e), Ok(_)) => result = Err(e),
+                (_, Err(_)) => {}
             }
         }
-        Ok(total)
+        result
+    }
+
+    /// `INGEST` a slice (pipelined in frames under the protocol's frame
+    /// cap); returns the service's total item count afterwards.
+    pub fn ingest(&self, xs: &[u64]) -> std::io::Result<usize> {
+        if let Some(total) = self.ingest_chunks(xs, |chunk| self.send_ingest(chunk))? {
+            self.last_items.set(total);
+        }
+        Ok(self.last_items.get())
+    }
+
+    /// `TINGEST tenant …`: ingest a slice into one tenant's summary
+    /// (pipelined in frames under the protocol's frame cap); returns
+    /// that tenant's total item count afterwards.
+    pub fn tenant_ingest(&self, tenant: u64, xs: &[u64]) -> std::io::Result<usize> {
+        let send = |chunk: &[u64]| {
+            self.send_with(|wire, buf| match wire {
+                Wire::Text => {
+                    write_tenant_ingest_line(tenant, chunk, buf);
+                    buf.push(b'\n');
+                }
+                Wire::Binary => frame::encode_tenant_ingest_slice(tenant, chunk, buf),
+            })
+        };
+        Ok(self.ingest_chunks(xs, send)?.unwrap_or(0))
     }
 
     /// `TQUERY COUNT tenant x`.
@@ -339,31 +356,38 @@ impl ServiceClient {
         }
     }
 
-    /// One admin request/response round trip — binary wire only (the
-    /// cluster control plane has no text grammar).
-    fn admin_round_trip(&self, req: &AdminRequest) -> std::io::Result<AdminResponse> {
-        let mut conn = self.conn.borrow_mut();
-        if conn.wire != Wire::Binary {
+    /// Send half of an admin request — binary wire only (the cluster
+    /// control plane has no text grammar).
+    pub(crate) fn send_admin(&self, req: &AdminRequest) -> std::io::Result<()> {
+        if self.conn.borrow().wire != Wire::Binary {
             return Err(std::io::Error::other(
                 "admin frames require a binary connection",
             ));
         }
-        conn.send_admin(req)?;
-        conn.writer.flush()?;
-        match conn.receive_admin()? {
-            AdminResponse::Err(msg) => Err(std::io::Error::other(format!("service error: {msg}"))),
+        self.send_with(|_, buf| frame::encode_admin_request(req, buf))
+    }
+
+    /// Receive half of an admin request: decode one admin reply.
+    fn recv_admin(&self) -> std::io::Result<AdminResponse> {
+        match self
+            .conn
+            .borrow_mut()
+            .read_frame(frame::decode_admin_response)?
+        {
+            AdminResponse::Err(msg) => Err(service_error(msg)),
             resp => Ok(resp),
         }
     }
 
-    /// `EPOCH STATE` (admin): the node's published epoch, its boundary
-    /// item count, the frame high-water mark, and the published merged
-    /// summary's codec bytes — what a cluster coordinator merges in
-    /// shard order. Requires [`connect_binary`](Self::connect_binary)
-    /// and a [`spawn_admin`](crate::ServiceServer::spawn_admin)
-    /// endpoint.
-    pub fn epoch_state(&self) -> std::io::Result<(u64, usize, u64, Vec<u8>)> {
-        match self.admin_round_trip(&AdminRequest::EpochState)? {
+    /// One admin request/response round trip.
+    fn admin_round_trip(&self, req: &AdminRequest) -> std::io::Result<AdminResponse> {
+        self.send_admin(req)?;
+        self.recv_admin()
+    }
+
+    /// Receive half of [`epoch_state`](Self::epoch_state).
+    pub(crate) fn recv_epoch_state(&self) -> std::io::Result<(u64, usize, u64, Vec<u8>)> {
+        match self.recv_admin()? {
             AdminResponse::EpochState {
                 epoch,
                 items,
@@ -376,10 +400,20 @@ impl ServiceClient {
         }
     }
 
-    /// `CHECKPOINT` (admin): the node's full checkpoint envelope plus
-    /// the frame high-water mark it was cut at.
-    pub fn checkpoint(&self) -> std::io::Result<(u64, Vec<u8>)> {
-        match self.admin_round_trip(&AdminRequest::Checkpoint)? {
+    /// `EPOCH STATE` (admin): the node's published epoch, its boundary
+    /// item count, the frame high-water mark, and the published merged
+    /// summary's codec bytes — what a cluster coordinator merges in
+    /// shard order. Requires [`connect_binary`](Self::connect_binary)
+    /// and a [`spawn_admin`](crate::ServiceServer::spawn_admin)
+    /// endpoint.
+    pub fn epoch_state(&self) -> std::io::Result<(u64, usize, u64, Vec<u8>)> {
+        self.send_admin(&AdminRequest::EpochState)?;
+        self.recv_epoch_state()
+    }
+
+    /// Receive half of [`checkpoint`](Self::checkpoint).
+    pub(crate) fn recv_checkpoint(&self) -> std::io::Result<(u64, Vec<u8>)> {
+        match self.recv_admin()? {
             AdminResponse::Checkpoint {
                 frames_acked,
                 bytes,
@@ -388,6 +422,13 @@ impl ServiceClient {
                 "expected CHECKPOINT response, got {other:?}"
             ))),
         }
+    }
+
+    /// `CHECKPOINT` (admin): the node's full checkpoint envelope plus
+    /// the frame high-water mark it was cut at.
+    pub fn checkpoint(&self) -> std::io::Result<(u64, Vec<u8>)> {
+        self.send_admin(&AdminRequest::Checkpoint)?;
+        self.recv_checkpoint()
     }
 
     /// `RESTORE` (admin): seed the node from a checkpoint envelope and

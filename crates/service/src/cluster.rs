@@ -14,6 +14,14 @@
 //! run is therefore **bit-identical** to the offline sharded run of the
 //! same stream — the distributed boundary adds no randomness.
 //!
+//! The router's fan-out is **scatter-gather**: for each input chunk it
+//! writes every node's stride frame, then reads every node's ack (and
+//! checks each `INGESTED` total against its own per-node dealt count),
+//! so the node processes ingest concurrently instead of each waiting
+//! for the previous node's round trip. `EPOCH STATE` pulls and
+//! checkpoints fan out the same way. The bytes each node receives, and
+//! their order, are exactly those of a one-node-at-a-time fan-out.
+//!
 //! Queries go through the coordinator half ([`ClusterRouter::global_view`]):
 //! it pulls each node's published epoch snapshot over the binary admin
 //! protocol (`EPOCH STATE`) and merges the per-node summaries **in node
@@ -32,13 +40,17 @@
 //! harness), [`restore_node`](ClusterRouter::restore_node) spawns a
 //! fresh process on a new ephemeral port, seeds it from the retained
 //! checkpoint envelope over `RESTORE`, and replays exactly the retained
-//! frames at or past the restored high-water mark. Because checkpoints
-//! capture full RNG state and the replayed frames are byte-identical to
-//! the originals, the restored node — and with it every subsequent
-//! global query — is bit-identical to an uninterrupted run. The window
-//! is only trimmed at checkpoint time, so a **double fault** (the
-//! restored node dying again) replays the same recovery and still
-//! converges.
+//! frames at or past the restored high-water mark, written back-to-back
+//! before their acks are read. A frame enters the window **before** it
+//! is sent, so a frame whose send or ack failed (the node died
+//! mid-ingest) is replayed too: after `restore_node` the cluster holds
+//! everything routed, even when the `ingest` that hit the dead node
+//! returned an error. Because checkpoints capture full RNG state and
+//! the replayed frames are byte-identical to the originals, the
+//! restored node — and with it every subsequent global query — is
+//! bit-identical to an uninterrupted run. The window is only trimmed at
+//! checkpoint time, so a **double fault** (the restored node dying
+//! again) replays the same recovery and still converges.
 //!
 //! Everything here is driven by `tests/cluster_determinism.rs`,
 //! `crates/service/tests/cluster_failover.rs`, and the bench crate's
@@ -46,6 +58,7 @@
 //! the cluster boundary through [`ClusterDefense`]).
 
 use crate::client::ServiceClient;
+use crate::frame::AdminRequest;
 use crate::protocol::MAX_INGEST_FRAME;
 use crate::service::EpochSnapshot;
 use robust_sampling_core::attack::{ObservableDefense, StateOracle};
@@ -58,6 +71,7 @@ use std::collections::VecDeque;
 use std::io::{BufRead, BufReader};
 use std::marker::PhantomData;
 use std::net::SocketAddr;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::OnceLock;
@@ -286,22 +300,79 @@ fn deal_strides(routed: usize, k: usize, chunk: &[u64]) -> Vec<Vec<u64>> {
         .collect()
 }
 
+/// **Scatter-gather** over `nodes`: run every send half first, then
+/// the receive half of every node whose send succeeded, in node order —
+/// so all nodes work on their requests at the same time instead of each
+/// waiting for the previous node's reply. Every node is attempted and
+/// every sent reply drained even after a failure, so no connection is
+/// left holding a stale reply; the first error is returned.
+///
+/// This cannot deadlock: a node buffers its replies instead of blocking
+/// on its own writes, and each request is at most one
+/// [`MAX_INGEST_FRAME`].
+fn scatter_gather<T>(
+    nodes: impl IntoIterator<Item = usize>,
+    mut send: impl FnMut(usize) -> std::io::Result<()>,
+    mut recv: impl FnMut(usize) -> std::io::Result<T>,
+) -> std::io::Result<Vec<T>> {
+    let mut first_err = None;
+    let mut sent = Vec::new();
+    for j in nodes {
+        match send(j) {
+            Ok(()) => sent.push(j),
+            Err(e) => {
+                first_err.get_or_insert(e);
+            }
+        }
+    }
+    let mut out = Vec::with_capacity(sent.len());
+    for j in sent {
+        match recv(j) {
+            Ok(reply) => out.push(reply),
+            Err(e) => {
+                first_err.get_or_insert(e);
+            }
+        }
+    }
+    match first_err {
+        Some(e) => Err(e),
+        None => Ok(out),
+    }
+}
+
+/// Check a node's `INGESTED` total against the router's dealt count: an
+/// ack desync is a loud error, never a silent off-by-one.
+fn check_ack(j: usize, acked: usize, expected: usize) -> std::io::Result<()> {
+    if acked == expected {
+        Ok(())
+    } else {
+        Err(std::io::Error::other(format!(
+            "node {j} acked {acked} items, router dealt it {expected}"
+        )))
+    }
+}
+
 /// The cluster data plane and its fault-recovery bookkeeping.
 ///
-/// `ingest` deals each input chunk into per-node strides (one binary
-/// `INGEST` frame per non-empty stride, so the router's per-node *sent
-/// frame* counter and the node's applied-frame high-water mark advance
-/// in lockstep) and retains every sent frame in the node's replay
-/// window. `checkpoint_node` pulls the node's checkpoint envelope and
-/// trims the window to the envelope's high-water mark;
-/// `restore_node` spawns a replacement process, seeds it from that
-/// envelope, and replays the retained tail. See the module docs for the
-/// bit-identity argument.
+/// `ingest` deals each input chunk into per-node strides, one binary
+/// `INGEST` frame per non-empty stride (so the router's per-node dealt
+/// frame counter and the node's applied-frame high-water mark advance
+/// in lockstep), and fans them out scatter-gather: every node's frame
+/// is written before any ack is read. Each stride enters the node's
+/// replay window *before* it is sent, so a frame whose send or ack
+/// failed is still replayed by the next `restore_node`.
+/// `checkpoint_node` pulls the node's checkpoint envelope and trims the
+/// window to the envelope's high-water mark; `restore_node` spawns a
+/// replacement process, seeds it from that envelope, and replays the
+/// retained tail. See the module docs for the bit-identity argument.
 pub struct ClusterRouter {
     cfg: ClusterConfig,
     nodes: Vec<Node>,
     /// Global elements dealt so far (the round-robin phase).
     routed: usize,
+    /// Per node: elements dealt to it so far — what its next
+    /// `INGESTED` total must equal.
+    dealt: Vec<usize>,
     /// Per node: absolute frame index of the window front (== frames
     /// trimmed away by checkpoints).
     window_base: Vec<u64>,
@@ -325,6 +396,7 @@ impl ClusterRouter {
             cfg,
             nodes,
             routed: 0,
+            dealt: vec![0; n],
             window_base: vec![0; n],
             window: (0..n).map(|_| VecDeque::new()).collect(),
             checkpoints: vec![None; n],
@@ -346,16 +418,26 @@ impl ClusterRouter {
         self.nodes[j].addr
     }
 
-    /// Frames sent to node `j` so far (its expected high-water mark).
+    /// Frames dealt to node `j` so far (its expected high-water mark).
     pub fn frames_sent(&self, j: usize) -> u64 {
         self.window_base[j] + self.window[j].len() as u64
     }
 
     /// Deal `xs` across the nodes — element at global arrival index `i`
-    /// to node `i mod N`, exactly the [`ShardedSummary`] deal — sending
-    /// one binary `INGEST` frame per non-empty stride and retaining
-    /// each frame in the node's replay window. Returns the total
-    /// elements routed so far.
+    /// to node `i mod N`, exactly the [`ShardedSummary`] deal — one
+    /// binary `INGEST` frame per non-empty stride. Per
+    /// `MAX_INGEST_FRAME` chunk of `xs` the fan-out is
+    /// **scatter-gather**: each stride is retained in its node's replay
+    /// window, every node's frame is written, and only then is every
+    /// node's ack read (and checked against the router's dealt count),
+    /// so the nodes ingest concurrently. Returns the total elements
+    /// routed so far.
+    ///
+    /// On failure (a dead node, an ack mismatch) every other node still
+    /// gets its stride and every sent ack is drained; the first error is
+    /// returned. The failed node's stride is already in its window, so
+    /// [`restore_node`](Self::restore_node) brings the cluster to the
+    /// state of an uninterrupted run over everything routed.
     pub fn ingest(&mut self, xs: &[u64]) -> std::io::Result<usize> {
         let k = self.nodes.len();
         // Cap each stride at one protocol frame so frame accounting
@@ -363,13 +445,30 @@ impl ClusterRouter {
         for chunk in xs.chunks(MAX_INGEST_FRAME) {
             let strides = deal_strides(self.routed, k, chunk);
             self.routed += chunk.len();
+            let mut targets = Vec::with_capacity(k);
             for (j, stride) in strides.into_iter().enumerate() {
-                if stride.is_empty() {
-                    continue;
+                if !stride.is_empty() {
+                    self.dealt[j] += stride.len();
+                    self.window[j].push_back(stride);
+                    targets.push(j);
                 }
-                self.nodes[j].client.ingest(&stride)?;
-                self.window[j].push_back(stride);
             }
+            // Each target's stride is now the back of its window.
+            let Self {
+                nodes,
+                window,
+                dealt,
+                ..
+            } = &*self;
+            scatter_gather(
+                targets,
+                |j| {
+                    nodes[j]
+                        .client
+                        .send_ingest(window[j].back().expect("retained"))
+                },
+                |j| check_ack(j, nodes[j].client.recv_ingested()?, dealt[j]),
+            )?;
         }
         Ok(self.routed)
     }
@@ -378,23 +477,39 @@ impl ClusterRouter {
     /// the envelope's frame high-water mark: frames the checkpoint
     /// already contains will never need replaying.
     pub fn checkpoint_node(&mut self, j: usize) -> std::io::Result<()> {
-        let (hwm, bytes) = self.nodes[j].client.checkpoint()?;
-        while self.window_base[j] < hwm {
-            self.window[j]
-                .pop_front()
-                .expect("checkpoint high-water mark beyond the sent-frame count");
-            self.window_base[j] += 1;
-        }
-        self.checkpoints[j] = Some(bytes);
-        Ok(())
+        self.checkpoint_nodes(j..j + 1)
     }
 
-    /// Checkpoint every node.
+    /// Checkpoint every node, scatter-gather: every `CHECKPOINT` request
+    /// is sent before any envelope is read.
     pub fn checkpoint_all(&mut self) -> std::io::Result<()> {
-        for j in 0..self.nodes.len() {
-            self.checkpoint_node(j)?;
-        }
-        Ok(())
+        self.checkpoint_nodes(0..self.nodes.len())
+    }
+
+    fn checkpoint_nodes(&mut self, targets: Range<usize>) -> std::io::Result<()> {
+        let Self {
+            nodes,
+            window,
+            window_base,
+            checkpoints,
+            ..
+        } = self;
+        scatter_gather(
+            targets,
+            |j| nodes[j].client.send_admin(&AdminRequest::Checkpoint),
+            |j| {
+                let (hwm, bytes) = nodes[j].client.recv_checkpoint()?;
+                while window_base[j] < hwm {
+                    window[j]
+                        .pop_front()
+                        .expect("checkpoint high-water mark beyond the sent-frame count");
+                    window_base[j] += 1;
+                }
+                checkpoints[j] = Some(bytes);
+                Ok(())
+            },
+        )
+        .map(drop)
     }
 
     /// **Fault injection**: kill node `j`'s process outright (no
@@ -407,8 +522,10 @@ impl ClusterRouter {
     /// ephemeral port, seed it from the retained checkpoint envelope
     /// (`RESTORE` over the admin protocol; a node that was never
     /// checkpointed restarts empty), and replay the retained frames at
-    /// or past the restored high-water mark. The window is kept, so a
-    /// second fault on the same node replays the same recovery.
+    /// or past the restored high-water mark — pipelined: every frame is
+    /// written back-to-back, then every ack is read and checked against
+    /// the router's dealt count. The window is kept, so a second fault
+    /// on the same node replays the same recovery.
     pub fn restore_node(&mut self, j: usize) -> std::io::Result<()> {
         let node = spawn_node(&self.cfg, j)?;
         let hwm = match &self.checkpoints[j] {
@@ -420,11 +537,16 @@ impl ClusterRouter {
             "restored high-water mark {hwm} predates the replay window base {}",
             self.window_base[j]
         );
-        for (i, frame) in self.window[j].iter().enumerate() {
-            let idx = self.window_base[j] + i as u64;
-            if idx >= hwm {
-                node.client.ingest(frame)?;
-            }
+        let replay = self.window[j]
+            .iter()
+            .skip((hwm - self.window_base[j]) as usize);
+        let mut acked = self.dealt[j] - replay.clone().map(Vec::len).sum::<usize>();
+        for frame in replay.clone() {
+            node.client.send_ingest(frame)?;
+        }
+        for frame in replay {
+            acked += frame.len();
+            check_ack(j, node.client.recv_ingested()?, acked)?;
         }
         self.nodes[j] = node;
         Ok(())
@@ -436,15 +558,26 @@ impl ClusterRouter {
     where
         S: SnapshotCodec,
     {
-        let (epoch, items, hwm, bytes) = self.nodes[j].client.epoch_state()?;
+        self.nodes[j].client.send_admin(&AdminRequest::EpochState)?;
+        self.recv_epoch_state(j)
+    }
+
+    /// Receive half of [`node_epoch_state`](Self::node_epoch_state):
+    /// read node `j`'s `EPOCH STATE` reply and decode its summary.
+    fn recv_epoch_state<S>(&self, j: usize) -> std::io::Result<(u64, usize, u64, S)>
+    where
+        S: SnapshotCodec,
+    {
+        let (epoch, items, hwm, bytes) = self.nodes[j].client.recv_epoch_state()?;
         let summary = S::restore(&bytes)
             .map_err(|e| std::io::Error::other(format!("undecodable node state: {e}")))?;
         Ok((epoch, items, hwm, summary))
     }
 
     /// **The coordinator merge**: pull every node's published epoch
-    /// snapshot and merge the summaries in node order via
-    /// [`merge_in_shard_order`] into one consistent global
+    /// snapshot — scatter-gather, every `EPOCH STATE` request sent
+    /// before any reply is read — and merge the summaries in node order
+    /// via [`merge_in_shard_order`] into one consistent global
     /// [`EpochSnapshot`] — the cluster's query surface. The view's
     /// epoch is the slowest node's published epoch (a consistent lower
     /// bound; in an aligned run all nodes agree) and its item count is
@@ -453,11 +586,15 @@ impl ClusterRouter {
     where
         S: SnapshotCodec + MergeableSummary<u64>,
     {
-        let mut summaries = Vec::with_capacity(self.nodes.len());
+        let states = scatter_gather(
+            0..self.nodes.len(),
+            |j| self.nodes[j].client.send_admin(&AdminRequest::EpochState),
+            |j| self.recv_epoch_state::<S>(j),
+        )?;
+        let mut summaries = Vec::with_capacity(states.len());
         let mut items = 0usize;
         let mut epoch = u64::MAX;
-        for j in 0..self.nodes.len() {
-            let (e, n, _, s) = self.node_epoch_state::<S>(j)?;
+        for (e, n, _, s) in states {
             epoch = epoch.min(e);
             items += n;
             summaries.push(s);

@@ -262,3 +262,50 @@ fn checkpoints_trim_the_replay_window() {
         .expect("node epoch state");
     assert_eq!(hwm, sent_total);
 }
+
+/// A failed `ingest` is recoverable: with one node dead, `ingest` errs,
+/// yet every other node still gets its stride, every sent ack is
+/// drained, and the dead node's stride is already in its replay window
+/// — so after `restore_node` the view is the offline sharded run over
+/// *everything routed*, for either victim, and the cluster keeps
+/// ingesting in step.
+#[test]
+fn failed_ingest_is_recovered_by_restore() {
+    use robust_sampling_core::engine::{ShardedSummary, StreamSummary};
+    use robust_sampling_core::sampler::StreamSampler;
+    let data = stream(64, 31);
+    for victim in 0..2 {
+        let mut offline =
+            ShardedSummary::new(2, 31, |_, s| ReservoirSampler::<u64>::with_seed(32, s));
+        let mut router = cluster(2, 31, 1);
+        for frame in data[..32].chunks(16) {
+            router.ingest(frame).expect("cluster ingest");
+            offline.ingest_batch(frame);
+        }
+        router.checkpoint_all().expect("checkpoint");
+        router.kill_node(victim);
+        assert!(
+            router.ingest(&data[32..48]).is_err(),
+            "ingest into a dead node must fail"
+        );
+        offline.ingest_batch(&data[32..48]);
+        assert_eq!(router.items_routed(), 48);
+        router.restore_node(victim).expect("restore");
+        let view = router
+            .global_view::<ReservoirSampler<u64>>()
+            .expect("global view");
+        assert_eq!(view.items(), 48, "victim {victim}");
+        assert_eq!(
+            view.summary().sample(),
+            offline.merged().sample(),
+            "victim {victim}"
+        );
+        router.ingest(&data[48..]).expect("ingest after restore");
+        offline.ingest_batch(&data[48..]);
+        assert_eq!(
+            view_of(&router).2,
+            offline.merged().sample(),
+            "victim {victim}"
+        );
+    }
+}

@@ -405,3 +405,47 @@ fn protocol_errors_do_not_kill_the_connection() {
     assert_eq!(line.trim(), "OK BYE");
     server.shutdown();
 }
+
+#[test]
+fn multi_frame_ingest_is_pipelined_and_matches_the_offline_reservoir() {
+    use robust_sampling_service::protocol::MAX_INGEST_FRAME;
+    // Three full frames plus a one-element tail: four INGEST frames
+    // written back-to-back before any ack is read.
+    let stream: Vec<u64> = (0..3 * MAX_INGEST_FRAME as u64 + 1)
+        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 44)
+        .collect();
+    let mut offline = ShardedSummary::new(3, 21, |_, s| ReservoirSampler::<u64>::with_seed(64, s));
+    offline.ingest_batch(&stream);
+    for binary in [false, true] {
+        let (server, addr) = serve(3, 21, 1, 1 << 20);
+        let client = if binary {
+            ServiceClient::connect_binary(addr).unwrap()
+        } else {
+            ServiceClient::connect(addr).unwrap()
+        };
+        assert_eq!(client.ingest(&stream).unwrap(), stream.len());
+        // Every ack was drained: the next reply on the socket is the
+        // snapshot's, and it is the offline merge.
+        let (_, items, sample) = client.snapshot().unwrap();
+        assert_eq!(items, stream.len(), "binary={binary}");
+        assert_eq!(sample, offline.merged().sample(), "binary={binary}");
+        client.quit().unwrap();
+        server.shutdown();
+    }
+}
+
+#[test]
+fn multi_frame_ingest_error_drains_every_ack() {
+    use robust_sampling_service::protocol::MAX_INGEST_FRAME;
+    // No tenant arena: every TINGEST frame is answered with ERR. All
+    // four replies must be drained so the connection stays in step.
+    let (server, addr) = serve(2, 5, 1, 1 << 16);
+    let client = ServiceClient::connect_binary(addr).unwrap();
+    let xs = vec![7u64; 3 * MAX_INGEST_FRAME + 1];
+    let err = client.tenant_ingest(9, &xs).unwrap_err();
+    assert!(err.to_string().contains("service error"), "{err}");
+    assert_eq!(client.ingest(&[1, 2, 3]).unwrap(), 3);
+    assert_eq!(client.stats().unwrap().items, 3);
+    client.quit().unwrap();
+    server.shutdown();
+}
